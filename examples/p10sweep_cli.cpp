@@ -157,7 +157,13 @@ main(int argc, char** argv)
     const sweep::SweepResult& result = resultOr.value();
 
     // Host timing is reported here and only here: the merged artifact
-    // must stay a pure function of the spec.
+    // must stay a pure function of the spec. Host-MIPS counts measured
+    // instructions of simulated shards only: warmup is not measured
+    // and a cache replay simulates nothing.
+    uint64_t simulatedInstrs = 0;
+    for (const sweep::ShardResult& s : result.shards)
+        if (s.ok && !s.fromCache)
+            simulatedInstrs += s.instrs;
     std::fprintf(stderr,
                  "sweep: %zu shards (%llu ok, %llu failed) on %d "
                  "jobs in %.2fs, %.2f host-MIPS\n",
@@ -166,7 +172,7 @@ main(int argc, char** argv)
                  static_cast<unsigned long long>(result.failed), jobs,
                  wall,
                  wall > 0.0
-                     ? static_cast<double>(result.simInstrs) / wall / 1e6
+                     ? static_cast<double>(simulatedInstrs) / wall / 1e6
                      : 0.0);
     if (!cacheDir.empty())
         std::fprintf(

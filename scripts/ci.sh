@@ -106,6 +106,8 @@ EOF
 # and the metrics counters must agree exactly with the fleet-stats
 # sidecar from the same run. Then the degradation ladder's far end:
 # zero workers must complete in-process, exit 0, same bytes again.
+# The kill lands at 50 ms: a release-build sweep of the smoke spec
+# takes about 150 ms on a 4-vCPU host, sanitizer builds longer.
 fleet_smoke() {
     local build="$1"
     local tag="$2"
@@ -118,7 +120,7 @@ fleet_smoke() {
         --out "${dir}/CLI_sweep.json" >/dev/null
     "${build}/examples/p10fleet" \
         --spec "${smoke_dir}/sweep_smoke.json" --spawn 2 \
-        --chaos-kill "0@150" --heartbeat-ms 50 \
+        --chaos-kill "0@50" --heartbeat-ms 50 \
         --out "${dir}/FLEET_chaos.json" \
         --fleet-stats "${dir}/FLEET_stats.json" \
         > "${dir}/fleet.out" 2> "${dir}/fleet.err"
@@ -126,7 +128,7 @@ fleet_smoke() {
     python3 scripts/validate_report.py --fleet "${dir}/FLEET_stats.json"
     "${build}/examples/p10fleet" \
         --spec "${smoke_dir}/sweep_smoke.json" --spawn 2 \
-        --chaos-kill "0@150" --heartbeat-ms 50 \
+        --chaos-kill "0@50" --heartbeat-ms 50 \
         --out "${dir}/FLEET_traced.json" \
         --fleet-stats "${dir}/FLEET_traced_stats.json" \
         --trace-out "${dir}/FLEET_trace.json" \
@@ -514,7 +516,15 @@ build-release/examples/p10sweep_cli --spec "${smoke_dir}/sweep_smoke.json" \
 build-release/examples/p10sweep_cli --spec "${smoke_dir}/sweep_smoke.json" \
     --jobs 8 --out "${smoke_dir}/SWEEP_warm.json" \
     --cache-dir "${smoke_dir}/shard-cache" \
-    --cache-stats "${smoke_dir}/CACHE_warm.json" >/dev/null
+    --cache-stats "${smoke_dir}/CACHE_warm.json" >/dev/null \
+    2>"${smoke_dir}/warm_cli.log"
+# Host-MIPS counts simulated shards only: a fully warm replay simulates
+# nothing, so it must not claim a rate.
+grep -q ", 0.00 host-MIPS$" "${smoke_dir}/warm_cli.log" || {
+    echo "cache smoke: warm replay reported nonzero host-MIPS" >&2
+    grep "host-MIPS" "${smoke_dir}/warm_cli.log" >&2
+    exit 1
+}
 cmp "${smoke_dir}/SWEEP_cold.json" "${smoke_dir}/SWEEP_warm.json"
 cmp "${smoke_dir}/SWEEP_j1.json" "${smoke_dir}/SWEEP_warm.json"
 python3 scripts/validate_report.py \
@@ -528,7 +538,7 @@ assert cold["sweep.cached"] == 0, cold
 assert cold["sweep.simulated"] == cold["sweep.shards"], cold
 assert warm["sweep.simulated"] == 0, warm
 assert warm["sweep.cached"] == warm["sweep.shards"], warm
-print("cache smoke: cold simulated all, warm simulated none")
+print("cache smoke: cold simulated all, warm simulated none (0 MIPS)")
 EOF
 
 daemon_smoke build-release release

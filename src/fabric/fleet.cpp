@@ -1,17 +1,11 @@
 #include "fabric/fleet.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
-#include <fcntl.h>
-#include <netdb.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/rng.h"
@@ -20,6 +14,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "service/protocol.h"
+#include "service/stream.h"
 #include "sweep/pool.h"
 
 namespace p10ee::fabric {
@@ -27,6 +22,8 @@ namespace p10ee::fabric {
 using common::Error;
 using common::Expected;
 using common::Status;
+using service::LineReader;
+using service::sendLine;
 
 namespace {
 
@@ -56,49 +53,6 @@ parseAddress(const std::string& text)
                                       "' port must be non-zero");
     addr.port = static_cast<uint16_t>(port);
     return addr;
-}
-
-/** Dial host:port with a connect timeout; -1 on any failure. */
-int
-tcpConnect(const std::string& host, uint16_t port, int timeoutMs)
-{
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* res = nullptr;
-    if (::getaddrinfo(host.c_str(), std::to_string(port).c_str(),
-                      &hints, &res) != 0)
-        return -1;
-    int fd = -1;
-    for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC,
-                      ai->ai_protocol);
-        if (fd < 0)
-            continue;
-        const int flags = ::fcntl(fd, F_GETFL, 0);
-        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-        int rc = ::connect(fd, ai->ai_addr, ai->ai_addrlen);
-        if (rc != 0 && errno == EINPROGRESS) {
-            pollfd pfd{fd, POLLOUT, 0};
-            rc = ::poll(&pfd, 1, timeoutMs);
-            if (rc == 1 && (pfd.revents & POLLOUT) != 0) {
-                int err = 0;
-                socklen_t len = sizeof(err);
-                ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
-                rc = err == 0 ? 0 : -1;
-            } else {
-                rc = -1;
-            }
-        }
-        if (rc == 0) {
-            ::fcntl(fd, F_SETFL, flags); // back to blocking
-            break;
-        }
-        ::close(fd);
-        fd = -1;
-    }
-    ::freeaddrinfo(res);
-    return fd;
 }
 
 /** Outcome of one leased shard attempt. */
@@ -198,79 +152,6 @@ parseFleetFile(const std::string& path)
     }
     return out;
 }
-
-/** One live worker socket plus its NDJSON line buffer. */
-struct FleetRunner::WorkerConn
-{
-    int fd = -1;
-    std::string pending;
-
-    ~WorkerConn() { closeFd(); }
-
-    bool open() const { return fd >= 0; }
-
-    void
-    closeFd()
-    {
-        if (fd >= 0) {
-            ::close(fd);
-            fd = -1;
-        }
-        pending.clear();
-    }
-
-    bool
-    sendLine(const std::string& line)
-    {
-        std::string framed = line;
-        framed += '\n';
-        size_t off = 0;
-        while (off < framed.size()) {
-            const ssize_t n = ::send(fd, framed.data() + off,
-                                     framed.size() - off, MSG_NOSIGNAL);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                return false;
-            }
-            off += static_cast<size_t>(n);
-        }
-        return true;
-    }
-
-    /** Read one line, waiting at most @p waitMs for more bytes.
-        1 = line ready, 0 = timeout slice, -1 = EOF/error/oversize. */
-    int
-    readLine(std::string* out, int waitMs)
-    {
-        for (;;) {
-            const size_t nl = pending.find('\n');
-            if (nl != std::string::npos) {
-                out->assign(pending, 0, nl);
-                pending.erase(0, nl + 1);
-                return 1;
-            }
-            if (pending.size() > service::kMaxRequestBytes)
-                return -1; // unbounded line: protocol violation
-            pollfd pfd{fd, POLLIN, 0};
-            const int rc = ::poll(&pfd, 1, waitMs);
-            if (rc == 0)
-                return 0;
-            if (rc < 0)
-                return errno == EINTR ? 0 : -1;
-            char buf[65536];
-            const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                return -1;
-            }
-            if (n == 0)
-                return -1;
-            pending.append(buf, static_cast<size_t>(n));
-        }
-    }
-};
 
 FleetRunner::FleetRunner(sweep::SweepSpec spec, FleetOptions opts)
     : spec_(std::move(spec)), opts_(std::move(opts))
@@ -384,7 +265,10 @@ FleetRunner::workerLoop(size_t workerIdx)
     const WorkerAddress& addr = opts_.workers[workerIdx];
     const std::string label =
         addr.host + ":" + std::to_string(addr.port);
-    WorkerConn conn;
+    int fd = -1; // the live worker socket, -1 between dials
+    const std::unique_ptr<int, void (*)(int*)> closeOnExit(
+        &fd, [](int* f) { if (*f >= 0) ::close(*f); });
+    LineReader reader;
     // Flight recorder: this thread owns spans_[1 + workerIdx] alone
     // (the single-owner contract), with one lane per lifecycle stage.
     // worker.queue / worker.exec are reconstructed from the durations
@@ -447,17 +331,17 @@ FleetRunner::workerLoop(size_t workerIdx)
         }
 
         // Ensure a connection (bounded exponential backoff + jitter).
-        while (!conn.open() && !retire) {
+        while (fd < 0 && !retire) {
             if (dialedBefore)
                 obs::metrics().add(fleetMetrics().redials);
             const uint64_t dialBegin = tracing ? traceNowUs() : 0;
-            const int fd = tcpConnect(addr.host, addr.port, 2000);
+            fd = service::dialStream(addr.host, addr.port, 2000);
             dialedBefore = true;
             if (tracing)
                 rec->add(dialLane, fd >= 0 ? "dial ok" : "dial fail",
                          dialBegin, traceNowUs());
             if (fd >= 0) {
-                conn.fd = fd;
+                reader = LineReader(fd);
                 consecutiveConnectFailures = 0;
                 break;
             }
@@ -502,10 +386,9 @@ FleetRunner::workerLoop(size_t workerIdx)
         const uint64_t leaseBegin = tracing ? traceNowUs() : 0;
         const char* failKind = "hard_fail";
 
-        if (!conn.sendLine(shardRequestLine(reqId, spec_, idx,
-                                            opts_.heartbeatMs,
-                                            cache_ != nullptr,
-                                            traceWire)))
+        if (!sendLine(fd, shardRequestLine(reqId, spec_, idx,
+                                           opts_.heartbeatMs,
+                                           cache_ != nullptr, traceWire)))
             outcome = Attempt::HardFail;
 
         const auto leaseDeadline =
@@ -528,10 +411,10 @@ FleetRunner::workerLoop(size_t workerIdx)
                 break;
             }
             std::string line;
-            const int rc = conn.readLine(&line, 100);
-            if (rc == 0)
+            const auto rc = reader.next(&line, 100);
+            if (rc == LineReader::Result::Timeout)
                 continue;
-            if (rc < 0) {
+            if (rc != LineReader::Result::Line) {
                 outcome = Attempt::HardFail; // EOF / reset / oversize
                 break;
             }
@@ -558,9 +441,10 @@ FleetRunner::workerLoop(size_t workerIdx)
                     std::lock_guard<std::mutex> lock(mu_);
                     ++stats_.remoteCacheHits;
                 }
-                if (!conn.sendLine(cacheResultLine(
-                        reqId, bytes.has_value(),
-                        bytes ? *bytes : std::vector<uint8_t>{})))
+                if (!sendLine(fd, cacheResultLine(
+                                      reqId, bytes.has_value(),
+                                      bytes ? *bytes
+                                            : std::vector<uint8_t>{})))
                     outcome = Attempt::HardFail;
                 break;
               }
@@ -649,7 +533,8 @@ FleetRunner::workerLoop(size_t workerIdx)
         // Failed attempt: maybe close the socket, strike the worker on
         // this shard, and requeue or skip.
         if (outcome == Attempt::HardFail) {
-            conn.closeFd();
+            ::close(fd);
+            fd = -1;
             ++consecutiveStreamFailures;
         }
         api::ShardResult skipCopy;
@@ -715,6 +600,7 @@ FleetRunner::run()
             "fleet execution cannot honour shard_reports_dir: remote "
             "and cached shards cannot reproduce per-shard report "
             "files");
+    (void)fleetMetrics(); // a healthy run reports its counters as 0
     const bool tracing = opts_.trace;
     traceJson_.clear();
     spans_.clear();

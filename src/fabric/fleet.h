@@ -187,8 +187,6 @@ class FleetRunner
     const obs::TraceContext& traceRoot() const { return traceRoot_; }
 
   private:
-    struct WorkerConn; // one live socket + line buffer (fleet.cpp)
-
     void workerLoop(size_t workerIdx);
     /** Record a finished shard (success, failure or skip) exactly
         once; requeue duplicates are dropped. Under mu_. */

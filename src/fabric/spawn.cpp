@@ -6,46 +6,17 @@
 #include <cstdlib>
 #include <cstring>
 
-#include <fcntl.h>
-#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include "fabric/fleet.h"
+#include "service/stream.h"
 
 namespace p10ee::fabric {
 
 using common::Error;
 using common::Expected;
-
-namespace {
-
-/** Parse "p10d: listening on 127.0.0.1:<port>" out of @p text. */
-bool
-parseAnnouncement(const std::string& text, uint16_t* port)
-{
-    const std::string marker = "p10d: listening on 127.0.0.1:";
-    size_t at = text.find(marker);
-    if (at == std::string::npos)
-        return false;
-    size_t p = at + marker.size();
-    uint64_t value = 0;
-    bool any = false;
-    while (p < text.size() && text[p] >= '0' && text[p] <= '9') {
-        value = value * 10 + static_cast<uint64_t>(text[p] - '0');
-        if (value > 65535)
-            return false;
-        ++p;
-        any = true;
-    }
-    // Require the line to be complete — a chunk boundary could split
-    // the port digits, and parsing "8" out of "8080" would dial the
-    // wrong daemon.
-    if (!any || p >= text.size() || text[p] != '\n')
-        return false;
-    *port = static_cast<uint16_t>(value);
-    return true;
-}
-
-} // namespace
+using Result = service::LineReader::Result;
 
 Expected<SpawnedWorker>
 spawnWorker(const std::string& p10dBinary,
@@ -90,50 +61,46 @@ spawnWorker(const std::string& p10dBinary,
     worker.pid = pid;
     worker.stdoutFd = pipefd[0];
 
-    std::string seen;
+    // The announcement is the daemon's first stdout line, read with the
+    // same bounded reader as every NDJSON stream.
+    service::LineReader reader(worker.stdoutFd);
+    std::string line;
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(announceTimeoutMs);
     for (;;) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) {
+        const auto left =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                deadline - std::chrono::steady_clock::now())
+                .count();
+        if (left <= 0) {
             reapWorker(worker, /*kill=*/true);
             return Error::timeout(
                 "worker did not announce a listening port within " +
                 std::to_string(announceTimeoutMs) + "ms");
         }
-        const int waitMs = static_cast<int>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - now)
-                .count());
-        pollfd pfd{worker.stdoutFd, POLLIN, 0};
-        int rc = ::poll(&pfd, 1, waitMs > 100 ? 100 : waitMs);
-        if (rc < 0 && errno != EINTR) {
-            reapWorker(worker, /*kill=*/true);
-            return Error::transient(std::string("poll(): ") +
-                                    std::strerror(errno));
-        }
-        if (rc <= 0 || (pfd.revents & (POLLIN | POLLHUP)) == 0)
+        const auto rc = reader.next(&line, static_cast<int>(left));
+        if (rc == Result::Timeout)
             continue;
-        char buf[512];
-        ssize_t n = ::read(worker.stdoutFd, buf, sizeof(buf));
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0) {
-            // Child died (or exec failed) before announcing.
-            int status = reapWorker(worker);
-            return Error::transient(
-                "worker exited before announcing (wait status " +
-                std::to_string(status) + ")");
+        const std::string marker = "p10d: listening on ";
+        if (rc == Result::Line && line.compare(0, marker.size(), marker) == 0) {
+            auto addrs = parseWorkerList(line.substr(marker.size()));
+            if (addrs && addrs.value().size() == 1 &&
+                addrs.value()[0].host == "127.0.0.1") {
+                worker.port = addrs.value()[0].port;
+                return worker;
+            }
         }
-        seen.append(buf, static_cast<size_t>(n));
-        if (parseAnnouncement(seen, &worker.port))
-            return worker;
-        if (seen.size() > 4096) {
+        if (rc == Result::Line || rc == Result::Oversize) {
             reapWorker(worker, /*kill=*/true);
             return Error::invalidArgument(
                 "worker stdout is not a p10d announcement");
         }
+        // Child died (or exec failed) before announcing.
+        const int status = reapWorker(worker);
+        return Error::transient(
+            "worker exited before announcing (wait status " +
+            std::to_string(status) + ")");
     }
 }
 

@@ -9,6 +9,7 @@ namespace p10ee::fabric {
 
 using common::Error;
 using common::Expected;
+using service::onlyKeys;
 
 std::string
 shardRequestLine(const std::string& id, const sweep::SweepSpec& spec,
@@ -52,23 +53,7 @@ cacheResultLine(const std::string& id, bool hit,
 
 namespace {
 
-/** Closed-key-set check: every member of @p root must be listed. */
-common::Status
-onlyKeys(const obs::JsonValue& root,
-         std::initializer_list<std::string_view> allowed)
-{
-    for (const auto& [key, v] : root.object) {
-        (void)v;
-        bool ok = false;
-        for (std::string_view a : allowed)
-            if (key == a)
-                ok = true;
-        if (!ok)
-            return Error::invalidArgument("unknown worker event key '" +
-                                          key + "'");
-    }
-    return common::okStatus();
-}
+const std::string kEvent = "worker event"; ///< onlyKeys' error noun
 
 Expected<uint64_t>
 readKeyField(const obs::JsonValue& root)
@@ -146,7 +131,7 @@ WorkerEvent::parse(std::string_view line)
         if (qd == nullptr || !qd->isNumber())
             return Error::invalidArgument(
                 "accepted event 'queue_depth' must be a number");
-        if (auto st = onlyKeys(root, {"id", "event", "queue_depth"});
+        if (auto st = onlyKeys(root, {"id", "event", "queue_depth"}, kEvent);
             !st)
             return st.error();
         return out;
@@ -157,7 +142,7 @@ WorkerEvent::parse(std::string_view line)
         if (!traceOr)
             return traceOr.error();
         out.trace = std::move(traceOr.value());
-        if (auto st = onlyKeys(root, {"id", "event", "trace"}); !st)
+        if (auto st = onlyKeys(root, {"id", "event", "trace"}, kEvent); !st)
             return st.error();
         return out;
     }
@@ -167,7 +152,7 @@ WorkerEvent::parse(std::string_view line)
         if (!keyOr)
             return keyOr.error();
         out.key = keyOr.value();
-        if (auto st = onlyKeys(root, {"id", "event", "key"}); !st)
+        if (auto st = onlyKeys(root, {"id", "event", "key"}, kEvent); !st)
             return st.error();
         return out;
     }
@@ -181,7 +166,7 @@ WorkerEvent::parse(std::string_view line)
         if (!dataOr)
             return dataOr.error();
         out.data = std::move(dataOr.value());
-        if (auto st = onlyKeys(root, {"id", "event", "key", "data"});
+        if (auto st = onlyKeys(root, {"id", "event", "key", "data"}, kEvent);
             !st)
             return st.error();
         return out;
@@ -234,8 +219,8 @@ WorkerEvent::parse(std::string_view line)
         }
         if (auto st = onlyKeys(root,
                                {"id", "event", "index", "cached",
-                                "data", "trace", "queue_us",
-                                "exec_us"});
+                                "data", "trace", "queue_us", "exec_us"},
+                               kEvent);
             !st)
             return st.error();
         return out;
@@ -248,8 +233,8 @@ WorkerEvent::parse(std::string_view line)
             !msg->isString())
             return Error::invalidArgument(
                 "error event must carry string 'code' and 'message'");
-        if (auto st =
-                onlyKeys(root, {"id", "event", "code", "message"});
+        if (auto st = onlyKeys(root, {"id", "event", "code", "message"},
+                               kEvent);
             !st)
             return st.error();
         // The remote code collapses into Transient for retry purposes:

@@ -1,8 +1,8 @@
 #include "service/daemon.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -12,6 +12,7 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "service/stream.h"
 
 namespace p10ee::service {
 
@@ -54,24 +55,9 @@ void
 Daemon::Connection::sendLine(const std::string& line)
 {
     std::lock_guard<std::mutex> lock(writeMu);
-    if (!alive.load(std::memory_order_relaxed))
-        return;
-    std::string framed = line;
-    framed += '\n';
-    size_t off = 0;
-    while (off < framed.size()) {
-        // MSG_NOSIGNAL: a peer that hung up must not SIGPIPE the
-        // daemon; the write error just retires this connection.
-        ssize_t n = ::send(fd, framed.data() + off, framed.size() - off,
-                           MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            alive.store(false, std::memory_order_relaxed);
-            return;
-        }
-        off += static_cast<size_t>(n);
-    }
+    if (alive.load(std::memory_order_relaxed) &&
+        !service::sendLine(fd, line))
+        alive.store(false, std::memory_order_relaxed);
 }
 
 Daemon::Daemon(DaemonOptions opts)
@@ -95,10 +81,17 @@ Daemon::~Daemon()
 Status
 Daemon::start()
 {
+    // Set-up failures are recoverable Errors (port in use, ...).
+    auto fail = [this](const std::string& call) -> Status {
+        Error e = Error::transient(call + ": " + std::strerror(errno));
+        if (listenFd_ >= 0)
+            ::close(listenFd_);
+        listenFd_ = -1;
+        return e;
+    };
     listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listenFd_ < 0)
-        return Error::transient(std::string("socket(): ") +
-                                std::strerror(errno));
+        return fail("socket()");
     int one = 1;
     ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
                  sizeof(one));
@@ -108,30 +101,14 @@ Daemon::start()
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK); // localhost only
     addr.sin_port = htons(opts_.port);
     if (::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-        Error e = Error::transient(
-            "bind(127.0.0.1:" + std::to_string(opts_.port) +
-            "): " + std::strerror(errno));
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return e;
-    }
-    if (::listen(listenFd_, 16) != 0) {
-        Error e = Error::transient(std::string("listen(): ") +
-                                   std::strerror(errno));
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return e;
-    }
+               sizeof(addr)) != 0)
+        return fail("bind(127.0.0.1:" + std::to_string(opts_.port) + ")");
+    if (::listen(listenFd_, 16) != 0)
+        return fail("listen()");
     socklen_t len = sizeof(addr);
     if (::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr),
-                      &len) != 0) {
-        Error e = Error::transient(std::string("getsockname(): ") +
-                                   std::strerror(errno));
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return e;
-    }
+                      &len) != 0)
+        return fail("getsockname()");
     port_ = ntohs(addr.sin_port);
 
     acceptThread_ = std::thread([this] { acceptLoop(); });
@@ -200,6 +177,7 @@ Daemon::acceptLoop()
         int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             continue;
+        configureStream(fd);
         connections_.fetch_add(1);
         obs::metrics().add(daemonMetrics().connections);
         auto conn = std::make_shared<Connection>(fd);
@@ -213,63 +191,34 @@ Daemon::acceptLoop()
 void
 Daemon::readerLoop(std::shared_ptr<Connection> conn)
 {
-    std::string pending;
-    char buf[65536];
-    for (;;) {
-        ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break;
-        pending.append(buf, static_cast<size_t>(n));
-        if (pending.size() > kMaxRequestBytes &&
-            pending.find('\n') >= kMaxRequestBytes) {
-            // The buffered prefix of a single line already exceeds the
-            // request bound: reject and hang up before scanning —
-            // waiting for a terminator would hand a hostile client
-            // unbounded daemon memory, and the check must run before
-            // the line scan or a terminator arriving in the same chunk
-            // that crosses the bound would sneak the line through to
-            // the parser (which rejects it but leaves the connection
-            // up).
-            conn->sendLine(errorLine(
-                "", Error::invalidArgument(
-                        "request line exceeds " +
-                        std::to_string(kMaxRequestBytes) + " bytes")));
-            ::shutdown(conn->fd, SHUT_RDWR);
-            break;
-        }
-        size_t start = 0;
-        for (;;) {
-            size_t nl = pending.find('\n', start);
-            if (nl == std::string::npos)
-                break;
-            std::string_view line(pending.data() + start, nl - start);
-            if (!line.empty())
-                handleLine(conn, line);
-            start = nl + 1;
-        }
-        pending.erase(0, start);
-    }
-    // EOF mid-line: the peer half-closed (or died) before terminating
-    // its request. Treat the fragment exactly like a malformed request
-    // — a structured error, counted as rejected — and never hand it to
-    // the dispatcher: an unterminated fragment can be a complete,
-    // valid JSON request whose trailing newline died with the client,
-    // and executing it would tie an executor to a connection nobody is
+    LineReader reader(conn->fd);
+    std::string line;
+    LineReader::Result rc;
+    while ((rc = reader.next(&line)) == LineReader::Result::Line)
+        if (!line.empty())
+            handleLine(conn, line);
+    // Framing violations are connection-fatal: one structured error,
+    // then hang up so a peer still reading sees EOF instead of a socket
+    // that never speaks again. An oversize line was bounded before it
+    // reached the parser. A fragment cut by EOF counts as a rejected
+    // request and is never dispatched: it can be a complete, valid
+    // JSON request whose trailing newline died with the client, and
+    // executing it would tie an executor to a connection nobody is
     // reading. sendLine absorbs the (likely dead) peer.
-    if (!pending.empty()) {
+    if (rc == LineReader::Result::Eof)
+        return;
+    if (rc == LineReader::Result::Truncated)
         rejected_.fetch_add(1);
-        conn->sendLine(errorLine(
-            "", Error::invalidArgument(
-                    "connection closed mid-request (" +
-                    std::to_string(pending.size()) +
-                    " bytes without newline); request discarded")));
-        // Framing violations are connection-fatal (the oversize path
-        // above sets the precedent): hang up so a peer still reading
-        // sees EOF instead of a socket that never speaks again.
-        ::shutdown(conn->fd, SHUT_RDWR);
-    }
+    conn->sendLine(errorLine(
+        "", Error::invalidArgument(
+                rc == LineReader::Result::Oversize
+                    ? "request line exceeds " +
+                          std::to_string(kMaxRequestBytes) + " bytes"
+                    : "connection closed mid-request (" +
+                          std::to_string(reader.buffered()) +
+                          " bytes without newline); request "
+                          "discarded")));
+    ::shutdown(conn->fd, SHUT_RDWR);
 }
 
 void
@@ -425,12 +374,18 @@ Daemon::execute(Job& job)
     sweepOpts.jobs = opts_.jobsPerRequest;
     sweepOpts.cancel = job.cancel.get();
     sweepOpts.maxCyclesOverride = job.req.timeoutCycles;
-    auto send = job.send;
-    sweepOpts.onProgress = [send, id](const api::ProgressEvent& ev) {
-        send(progressLine(id, ev));
+    // A write per cache-hit line costs the client a wake-up each: hit
+    // lines wait for the next simulated shard's line or the sweep's end.
+    std::string held;
+    sweepOpts.onProgress = [&](const api::ProgressEvent& ev) {
+        held += (held.empty() ? "" : "\n") + progressLine(id, ev);
+        if (!ev.fromCache)
+            job.send(std::exchange(held, {}));
     };
     Expected<sweep::SweepResult> resultOr =
         service_.runSweep(job.req.spec, sweepOpts);
+    if (!held.empty())
+        job.send(held);
     if (!resultOr) {
         failed_.fetch_add(1);
         job.send(errorLine(id, resultOr.error()));

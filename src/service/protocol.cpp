@@ -1,5 +1,6 @@
 #include "service/protocol.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/hex.h"
@@ -193,14 +194,12 @@ Request::parse(std::string_view line)
         if (!specOr)
             return specOr.error();
         req.spec = std::move(specOr.value());
-        for (const auto& [key, v] : root.object) {
-            (void)v;
-            if (key != "type" && key != "id" && key != "priority" &&
-                key != "timeout_cycles" && key != "spec" &&
-                key != "trace")
-                return Error::invalidArgument(
-                    "unknown sweep request key '" + key + "'");
-        }
+        if (Status st = onlyKeys(root,
+                                 {"type", "id", "priority",
+                                  "timeout_cycles", "spec", "trace"},
+                                 "sweep request");
+            !st)
+            return st.error();
         break;
       }
       case RequestType::Run:
@@ -246,15 +245,14 @@ Request::parse(std::string_view line)
                     "shard request 'remote_cache' must be a boolean");
             req.remoteCache = rc->boolean;
         }
-        for (const auto& [key, v] : root.object) {
-            (void)v;
-            if (key != "type" && key != "id" && key != "priority" &&
-                key != "timeout_cycles" && key != "spec" &&
-                key != "index" && key != "heartbeat_ms" &&
-                key != "remote_cache" && key != "trace")
-                return Error::invalidArgument(
-                    "unknown shard request key '" + key + "'");
-        }
+        if (Status st = onlyKeys(root,
+                                 {"type", "id", "priority",
+                                  "timeout_cycles", "spec", "index",
+                                  "heartbeat_ms", "remote_cache",
+                                  "trace"},
+                                 "shard request");
+            !st)
+            return st.error();
         break;
       }
       case RequestType::CacheResult: {
@@ -277,13 +275,10 @@ Request::parse(std::string_view line)
             return Error::invalidArgument(
                 "cache_result miss must not carry 'data'");
         }
-        for (const auto& [key, v] : root.object) {
-            (void)v;
-            if (key != "type" && key != "id" && key != "hit" &&
-                key != "data")
-                return Error::invalidArgument(
-                    "unknown cache_result key '" + key + "'");
-        }
+        if (Status st = onlyKeys(root, {"type", "id", "hit", "data"},
+                                 "cache_result");
+            !st)
+            return st.error();
         break;
       }
       case RequestType::Stats:
@@ -442,6 +437,19 @@ shardDoneLine(const std::string& id, uint64_t index, bool cached,
     w.key("data").value(common::hexEncode(entry));
     w.endObject();
     return w.str();
+}
+
+Status
+onlyKeys(const obs::JsonValue& root,
+         std::initializer_list<std::string_view> allowed,
+         const std::string& what)
+{
+    for (const auto& member : root.object)
+        if (std::find(allowed.begin(), allowed.end(), member.first) ==
+            allowed.end())
+            return Error::invalidArgument("unknown " + what + " key '" +
+                                          member.first + "'");
+    return common::okStatus();
 }
 
 std::string

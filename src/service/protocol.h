@@ -82,6 +82,7 @@
 #define P10EE_SERVICE_PROTOCOL_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,6 +90,7 @@
 #include "api/service.h"
 #include "api/types.h"
 #include "common/error.h"
+#include "obs/json.h"
 #include "obs/report.h"
 #include "sweep/spec.h"
 
@@ -188,6 +190,12 @@ std::string cacheKeyHex(uint64_t key);
 
 /** Strict inverse of cacheKeyHex: exactly 16 lowercase hex digits. */
 common::Expected<uint64_t> parseCacheKeyHex(const std::string& text);
+
+/** Closed key sets on every NDJSON object: a member of @p root not in
+    @p allowed is an "unknown <what> key" error. */
+common::Status onlyKeys(const obs::JsonValue& root,
+                        std::initializer_list<std::string_view> allowed,
+                        const std::string& what);
 
 /**
  * Slice the verbatim report bytes out of a `done` line (everything

@@ -175,17 +175,15 @@ SweepRunner::runShard(const ShardSpec& shard) const
             opts.recorder = rec.get();
         }
 
-        // Coarse core-loop phase timing behind a sampling gate: every
+        // Coarse core-loop timing behind a sampling gate: every
         // kPhaseSampleEvery-th simulated shard (process-wide) observes
-        // how the wall time splits between the timing loop and the
-        // energy evaluation. Sampled so the steady state costs two
-        // clock reads per ~16 shards; the histograms are telemetry
+        // the wall time of warmup + measure, which includes the chip's
+        // per-epoch energy rollup. Sampled so the steady state costs
+        // two clock reads per ~16 shards; the histogram is telemetry
         // only (metrics sidecars / the `metrics` request) and never
-        // touch the shard result.
+        // touches the shard result.
         static const obs::MetricId simPhaseUs =
             obs::metrics().histogram("sweep.phase.sim_us");
-        static const obs::MetricId powerPhaseUs =
-            obs::metrics().histogram("sweep.phase.power_us");
         static std::atomic<uint64_t> phaseTick{0};
         constexpr uint64_t kPhaseSampleEvery = 16;
         const bool phaseSampled =
@@ -197,25 +195,14 @@ SweepRunner::runShard(const ShardSpec& shard) const
         model.beginRun(perCore);
         model.advance(spec_.warmup * static_cast<uint64_t>(shard.smt));
         const chip::ChipResult run = model.measure(opts);
-        const auto simEnd = std::chrono::steady_clock::now();
-        if (phaseSampled) {
+        if (phaseSampled)
             obs::metrics().observe(
                 simPhaseUs,
                 static_cast<uint64_t>(
                     std::chrono::duration_cast<
-                        std::chrono::microseconds>(simEnd - simStart)
-                        .count()));
-            // The energy rollup now happens inside the chip's measure
-            // (per-core, per-epoch); the power phase keeps its
-            // histogram but records the residual fold only.
-            obs::metrics().observe(
-                powerPhaseUs,
-                static_cast<uint64_t>(
-                    std::chrono::duration_cast<
                         std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - simEnd)
+                        std::chrono::steady_clock::now() - simStart)
                         .count()));
-        }
         if (run.timedOut) {
             // A cycle-budget overrun is deterministic — retrying would
             // reproduce it, so it is recorded immediately.
@@ -349,8 +336,7 @@ SweepRunner::run(int jobs)
     result.shards.resize(shards.size());
 
     std::mutex progressMu;
-    ThreadPool pool(jobs);
-    pool.parallelFor(shards.size(), [&](uint64_t i) {
+    auto runOne = [&](uint64_t i) {
         ShardResult shard;
         bool hit = false;
         if (cancel != nullptr &&
@@ -398,7 +384,16 @@ SweepRunner::run(int jobs)
         // Slot i is this task's alone — results land by index, which
         // is what makes the fold below scheduling-independent.
         result.shards[i] = std::move(shard);
-    });
+    };
+    // One job runs on the caller's thread: a one-worker pool would run
+    // the same index order, but spawn and join a thread per sweep.
+    if (jobs <= 1) {
+        for (uint64_t i = 0; i < shards.size(); ++i)
+            runOne(i);
+    } else {
+        ThreadPool pool(jobs);
+        pool.parallelFor(shards.size(), runOne);
+    }
 
     // Index-ordered fold: aggregates come out identical no matter how
     // many threads ran the shards or in what order they finished.

@@ -365,9 +365,11 @@ SweepSpec::fromJsonFile(const std::string& path)
     std::ostringstream buf;
     buf << in.rdbuf();
     Expected<SweepSpec> spec = fromJson(buf.str());
-    if (!spec)
-        return Error(spec.error().code,
-                     path + ": " + spec.error().message);
+    if (!spec) {
+        Error e = spec.error(); // keeps the code and the field name
+        e.message = path + ": " + e.message;
+        return e;
+    }
     return spec;
 }
 

@@ -865,6 +865,12 @@ TEST(FleetLive, TwoWorkersColdAndWarmAreByteIdentical)
         EXPECT_EQ(fleetReportBytes(coldOr), expected);
         EXPECT_EQ(coldOr.value().simulatedShards, 8u);
         EXPECT_GT(cold.stats().remoteCachePuts, 0u);
+        // A healthy run still reports the fault counters, as zeros, so
+        // a --metrics-out sidecar is never empty.
+        bool registered = false;
+        for (const auto& [key, value] : obs::metrics().snapshot())
+            registered = registered || key == "fleet.requeues";
+        EXPECT_TRUE(registered);
     }
     {
         fabric::FleetOptions opts = fleetOptions(fleet);

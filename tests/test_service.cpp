@@ -1,16 +1,18 @@
 /**
  * @file
  * Tests of the p10d service layer: wire-protocol parsing (hostile
- * input included), the bounded priority JobQueue, the live daemon over
- * real loopback sockets, and the three-way equivalence contract — the
- * same sweep spec produces byte-identical merged reports via a library
- * call, the offline `p10sweep_cli` binary, and a live `p10d` socket
- * round-trip, cold or warm cache, at any jobs count.
+ * input included), the bounded priority JobQueue, the NDJSON stream
+ * transport (TCP_NODELAY, framed writes, the bounded line reader), the
+ * live daemon over real loopback sockets, and the three-way equivalence
+ * contract — the same sweep spec produces byte-identical merged reports
+ * via a library call, the offline `p10sweep_cli` binary, and a live
+ * `p10d` socket round-trip, cold or warm cache, at any jobs count.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -22,6 +24,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -31,6 +34,7 @@
 #include "service/daemon.h"
 #include "service/protocol.h"
 #include "service/queue.h"
+#include "service/stream.h"
 #include "sweep/spec.h"
 
 using namespace p10ee;
@@ -140,6 +144,10 @@ class Client
             }
             char chunk[65536];
             ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+            // With SO_RCVTIMEO set, a stop/continue of this process
+            // fails recv with EINTR instead of restarting it.
+            if (n < 0 && errno == EINTR)
+                continue;
             if (n <= 0)
                 return "";
             buf_.append(chunk, static_cast<size_t>(n));
@@ -444,6 +452,213 @@ TEST(JobQueue, DrainServesBacklogThenStops)
     EXPECT_FALSE(q.pop(&job)); // drained and empty: executors exit
 }
 
+// --- Stream transport ---
+
+using service::LineReader;
+
+/** Both ends of one TCP loopback connection, the client end dialled
+    through the transport. */
+struct LoopbackPair
+{
+    int client = -1;
+    int server = -1;
+
+    LoopbackPair()
+    {
+        const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        socklen_t len = sizeof(addr);
+        EXPECT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                         sizeof(addr)),
+                  0);
+        EXPECT_EQ(::listen(listener, 1), 0);
+        EXPECT_EQ(::getsockname(listener,
+                                reinterpret_cast<sockaddr*>(&addr), &len),
+                  0);
+        client = service::dialStream("127.0.0.1", ntohs(addr.sin_port),
+                                     2000);
+        server = ::accept(listener, nullptr, nullptr);
+        ::close(listener);
+        EXPECT_GE(client, 0);
+        EXPECT_GE(server, 0);
+    }
+    ~LoopbackPair()
+    {
+        ::close(client);
+        ::close(server);
+    }
+
+    /** Write @p raw from the client end in one send, then half-close
+        when @p eof. */
+    void
+    push(const std::string& raw, bool eof)
+    {
+        EXPECT_EQ(::send(client, raw.data(), raw.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(raw.size()));
+        if (eof)
+            ::shutdown(client, SHUT_WR);
+    }
+};
+
+bool
+noDelay(int fd)
+{
+    int on = 0;
+    socklen_t len = sizeof(on);
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+    return on != 0;
+}
+
+/** This process's descriptor for the far end of @p fd's connection
+    (the daemon runs in-process), found by its address pair; -1 when
+    there is none. */
+int
+acceptedEnd(int fd)
+{
+    sockaddr_in self{}, peer{};
+    socklen_t len = sizeof(self);
+    ::getsockname(fd, reinterpret_cast<sockaddr*>(&self), &len);
+    len = sizeof(peer);
+    ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len);
+    for (int cand = 0; cand < 1024; ++cand) {
+        sockaddr_in a{}, b{};
+        socklen_t la = sizeof(a), lb = sizeof(b);
+        if (cand == fd ||
+            ::getsockname(cand, reinterpret_cast<sockaddr*>(&a), &la) ||
+            ::getpeername(cand, reinterpret_cast<sockaddr*>(&b), &lb))
+            continue;
+        if (a.sin_family == AF_INET && a.sin_port == peer.sin_port &&
+            b.sin_port == self.sin_port)
+            return cand;
+    }
+    return -1;
+}
+
+TEST(Stream, DaemonAndFleetSocketsSetNoDelay)
+{
+    // Many small NDJSON lines per request: with Nagle on, the last one
+    // waits for the peer's delayed ACK. The fleet dials through
+    // dialStream; the daemon configures every accepted socket.
+    service::Daemon daemon(service::DaemonOptions{});
+    ASSERT_TRUE(daemon.start().ok());
+    const int fd = service::dialStream("127.0.0.1", daemon.port(), 2000);
+    ASSERT_GE(fd, 0);
+    EXPECT_TRUE(noDelay(fd));
+
+    // One answered request proves the daemon accepted the connection.
+    ASSERT_TRUE(service::sendLine(fd, "{\"type\":\"stats\"}"));
+    LineReader reader(fd);
+    std::string line;
+    ASSERT_EQ(reader.next(&line, 60000), LineReader::Result::Line);
+    EXPECT_EQ(field(line, "event"), "stats");
+    const int accepted = acceptedEnd(fd);
+    ASSERT_GE(accepted, 0);
+    EXPECT_TRUE(noDelay(accepted));
+
+    ::close(fd);
+    daemon.waitUntilStopped();
+}
+
+TEST(Stream, MebibyteLineArrivesIntactThroughSmallSendBuffer)
+{
+    LoopbackPair pair;
+    const int small = 4096;
+    ::setsockopt(pair.client, SOL_SOCKET, SO_SNDBUF, &small,
+                 sizeof(small));
+    std::string big(1u << 20, '\0');
+    for (size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<char>('a' + i % 26);
+
+    bool sent = false;
+    std::thread writer([&] {
+        sent = service::sendLine(pair.client, big);
+        ::shutdown(pair.client, SHUT_WR);
+    });
+    std::string got;
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::recv(pair.server, chunk, sizeof(chunk), 0)) > 0)
+        got.append(chunk, static_cast<size_t>(n));
+    writer.join();
+
+    EXPECT_TRUE(sent);
+    ASSERT_EQ(got.size(), big.size() + 1);
+    EXPECT_EQ(got.back(), '\n');
+    EXPECT_EQ(got.find('\n'), big.size()); // exactly one terminator
+    EXPECT_EQ(got.compare(0, big.size(), big), 0);
+}
+
+TEST(Stream, ReaderSplitsLinesArrivingInOneChunk)
+{
+    LoopbackPair pair;
+    LineReader reader(pair.server);
+    std::string line;
+    EXPECT_EQ(reader.next(&line, 0), LineReader::Result::Timeout);
+    // A timed read waits once: bytes without a terminator are a
+    // timeout, so a trickling peer cannot hold the caller.
+    pair.push("a", false);
+    EXPECT_EQ(reader.next(&line, 60000), LineReader::Result::Timeout);
+
+    pair.push("\n{\"x\":1}\n\nlast\n", true);
+    const std::vector<std::string> want = {"a", "{\"x\":1}", "", "last"};
+    for (const std::string& w : want) {
+        ASSERT_EQ(reader.next(&line), LineReader::Result::Line);
+        EXPECT_EQ(line, w);
+    }
+    EXPECT_EQ(reader.next(&line), LineReader::Result::Eof);
+    EXPECT_EQ(reader.buffered(), 0u);
+}
+
+TEST(Stream, ReaderRejectsOversizePrefixBeforeScanning)
+{
+    // Unterminated: the bound must fire without waiting for a newline
+    // (the writer never sends one and never closes).
+    {
+        LoopbackPair pair;
+        std::thread writer([&] {
+            pair.push(std::string(service::kMaxRequestBytes + 1, 'x'),
+                      false);
+        });
+        LineReader reader(pair.server);
+        std::string line = "untouched";
+        EXPECT_EQ(reader.next(&line), LineReader::Result::Oversize);
+        EXPECT_EQ(line, "untouched");
+        writer.join();
+    }
+    // Terminated in the same stream, a valid line behind it: the
+    // oversize line is still never handed out.
+    {
+        LoopbackPair pair;
+        std::thread writer([&] {
+            pair.push(std::string(service::kMaxRequestBytes + 1, 'x') +
+                          "\n{\"type\":\"stats\"}\n",
+                      true);
+        });
+        LineReader reader(pair.server);
+        std::string line = "untouched";
+        EXPECT_EQ(reader.next(&line), LineReader::Result::Oversize);
+        EXPECT_EQ(line, "untouched");
+        writer.join();
+    }
+}
+
+TEST(Stream, ReaderReportsEofFragmentWithoutDispatchingIt)
+{
+    LoopbackPair pair;
+    const std::string fragment = "{\"type\":\"stats\"}";
+    pair.push("ok\n" + fragment, true);
+    LineReader reader(pair.server);
+    std::string line;
+    ASSERT_EQ(reader.next(&line), LineReader::Result::Line);
+    EXPECT_EQ(line, "ok");
+    line = "untouched";
+    EXPECT_EQ(reader.next(&line), LineReader::Result::Truncated);
+    EXPECT_EQ(line, "untouched");
+    EXPECT_EQ(reader.buffered(), fragment.size());
+}
+
 // --- Daemon over live sockets ---
 
 std::string
@@ -544,6 +759,70 @@ TEST(Daemon, WarmCacheRepeatSimulatesZeroShards)
     ASSERT_TRUE(coldReport.ok());
     ASSERT_TRUE(warmReport.ok());
     EXPECT_EQ(coldReport.value(), warmReport.value());
+
+    daemon.waitUntilStopped();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Daemon, HeldCacheHitProgressKeepsBytesAndOrder)
+{
+    // Cache-hit progress lines are held and leave with the next
+    // simulated shard's line or ahead of the final line; the client
+    // still sees every line, byte for byte, in shard order.
+    const std::string dir = freshDir("p10ee_daemon_held_progress_test");
+    service::DaemonOptions opts;
+    opts.cacheDir = dir;
+    service::Daemon daemon(opts);
+    ASSERT_TRUE(daemon.start().ok());
+    Client client(daemon.port());
+
+    // The replies to one sweep request after `accepted`: its progress
+    // lines, then its final line.
+    auto sweep = [&client](const std::string& id, const std::string& spec) {
+        client.sendLine("{\"type\":\"sweep\",\"id\":\"" + id +
+                        "\",\"spec\":" + spec + "}");
+        EXPECT_EQ(field(client.readLine(), "event"), "accepted");
+        std::vector<std::string> lines;
+        for (std::string l = client.readLine(); !l.empty();
+             l = client.readLine()) {
+            lines.push_back(l);
+            if (field(l, "event") != "progress")
+                break;
+        }
+        return lines;
+    };
+    // Warm only the perlbench shards, so the full sweep mixes held hits
+    // with simulated shards.
+    std::string half = kSpecJson;
+    const std::string both = "\"perlbench\",\"xz\"";
+    half.replace(half.find(both), both.size(), "\"perlbench\"");
+    ASSERT_EQ(sweep("half", half).size(), 3u);
+    const std::vector<std::string> mixed = sweep("m", kSpecJson);
+    const std::vector<std::string> warm = sweep("w", kSpecJson);
+    ASSERT_EQ(mixed.size(), 5u);
+    ASSERT_EQ(warm.size(), 5u);
+    size_t hits = 0;
+    for (size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(field(mixed[i], "index"), std::to_string(i));
+        std::string expected = warm[i];
+        expected.replace(0, 9, "{\"id\":\"m\""); // was {"id":"w"
+        if (field(warm[i], "key").find("perlbench") == std::string::npos) {
+            const std::string hit = "\"cached\":true";
+            expected.replace(expected.find(hit), hit.size(),
+                             "\"cached\":false");
+        } else {
+            ++hits;
+        }
+        EXPECT_EQ(mixed[i], expected);
+    }
+    EXPECT_EQ(hits, 2u);
+    EXPECT_EQ(field(mixed[4], "cached_shards"), "2");
+    auto mixedReport = service::extractReport(mixed[4]);
+    auto warmReport = service::extractReport(warm[4]);
+    ASSERT_TRUE(mixedReport.ok());
+    ASSERT_TRUE(warmReport.ok());
+    EXPECT_EQ(mixedReport.value(), libraryReportBytes());
+    EXPECT_EQ(warmReport.value(), libraryReportBytes());
 
     daemon.waitUntilStopped();
     std::filesystem::remove_all(dir);

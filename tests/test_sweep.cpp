@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -338,6 +340,18 @@ TEST(SweepSpec, HostileModeValuesRejectedAtTheSpecBoundary)
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.error().field, "mode");
     EXPECT_NE(bad.error().str().find("warp9"), std::string::npos);
+
+    // Read from a file, the error gains the path and keeps the field.
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              "p10ee_hostile_mode_spec.json")
+                                 .string();
+    std::ofstream(path) << "{\"configs\": [\"power10\"], "
+                           "\"workloads\": [\"mcf\"], \"mode\": [\"warp9\"]}";
+    auto badFile = sweep::SweepSpec::fromJsonFile(path);
+    std::filesystem::remove(path);
+    ASSERT_FALSE(badFile.ok());
+    EXPECT_EQ(badFile.error().field, "mode");
+    EXPECT_NE(badFile.error().message.find(path), std::string::npos);
 
     // Wrong JSON type for the axis.
     EXPECT_FALSE(sweep::SweepSpec::fromJson(
