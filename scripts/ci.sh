@@ -256,6 +256,20 @@ EOF
     "${build}/examples/p10sweep_cli" --spec "${dir}/trace_sweep.json" \
         --jobs 4 --out "${dir}/TRACE_j4.json" >/dev/null
     cmp "${dir}/TRACE_j1.json" "${dir}/TRACE_j4.json"
+    # Resident trace cache: spec expansion loads and verifies the
+    # container once and all 4 trace shards replay it without a reload.
+    # The metrics sidecar is a pure observer: same bytes again.
+    "${build}/examples/p10sweep_cli" --spec "${dir}/trace_sweep.json" \
+        --jobs 2 --out "${dir}/TRACE_metered.json" \
+        --metrics-out "${dir}/TRACE_metrics.json" >/dev/null
+    cmp "${dir}/TRACE_j1.json" "${dir}/TRACE_metered.json"
+    python3 - "${dir}/TRACE_metrics.json" <<'EOF'
+import json, sys
+scalars = json.load(open(sys.argv[1]))["scalars"]
+loads = scalars.get("trace.container_loads", 0)
+assert loads == 1, f"trace.container_loads is {loads}, want 1"
+print("trace metrics: 4 trace shards, 1 container load")
+EOF
     rm -rf "${dir}/cache"
     "${build}/examples/p10sweep_cli" --spec "${dir}/trace_sweep.json" \
         --jobs 4 --cache-dir "${dir}/cache" \
@@ -585,7 +599,7 @@ build-asan-ubsan/tests/test_chip \
     --gtest_filter='ChipCkptHostile.*' >/dev/null
 
 # TSan flavour: only the parallel paths (thread pool, sweep runner,
-# parallel fault campaign) need race coverage, so build just those
+# parallel fault campaign, the shared trace cache) need race coverage, so build just those
 # targets instead of the whole tree. gtest_discover_tests does not
 # cooperate with partial builds, so the test binary runs directly.
 echo "=== tsan: configure + build parallel targets ==="
@@ -594,7 +608,7 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DP10EE_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \
     --target test_sweep test_service test_fabric test_obs test_chip \
-    bench_fault_campaign p10sweep_cli p10d p10fleet \
+    test_trace bench_fault_campaign p10sweep_cli p10d p10fleet \
     p10trace_cli p10sim_cli
 echo "=== tsan: test_sweep ==="
 build-tsan/tests/test_sweep
@@ -606,6 +620,8 @@ echo "=== tsan: test_obs (metrics registry + span recorder) ==="
 build-tsan/tests/test_obs
 echo "=== tsan: test_chip (epoch barriers + per-core recorders) ==="
 build-tsan/tests/test_chip
+echo "=== tsan: test_trace (resident container cache) ==="
+build-tsan/tests/test_trace --gtest_filter='TraceResident.*'
 echo "=== tsan: parallel campaign + sweep smoke ==="
 build-tsan/bench/bench_fault_campaign --instrs 20 --warmup 500 \
     --jobs 4 >/dev/null

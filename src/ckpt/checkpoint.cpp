@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/file.h"
 #include "common/hash.h"
 #include "common/serialize.h"
 
@@ -311,13 +312,10 @@ Checkpoint::save(const std::string& path) const
 Expected<Checkpoint>
 Checkpoint::load(const std::string& path)
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
+    Expected<std::vector<uint8_t>> bytes = common::readFile(path);
+    if (!bytes)
         return Error::notFound("cannot open checkpoint: " + path);
-    std::vector<uint8_t> bytes(
-        (std::istreambuf_iterator<char>(f)),
-        std::istreambuf_iterator<char>());
-    return fromBytes(bytes.data(), bytes.size());
+    return fromBytes(bytes.value().data(), bytes.value().size());
 }
 
 } // namespace p10ee::ckpt

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -55,6 +56,12 @@ void
 Daemon::Connection::sendLine(const std::string& line)
 {
     std::lock_guard<std::mutex> lock(writeMu);
+    sendLocked(line);
+}
+
+void
+Daemon::Connection::sendLocked(const std::string& line)
+{
     if (alive.load(std::memory_order_relaxed) &&
         !service::sendLine(fd, line))
         alive.store(false, std::memory_order_relaxed);
@@ -76,6 +83,11 @@ Daemon::~Daemon()
 {
     if (!stopped_ && listenFd_ >= 0)
         waitUntilStopped();
+    // Closed only here: requestDrain() may still be called from any
+    // thread after waitUntilStopped() returned.
+    for (int fd : wakeFds_)
+        if (fd >= 0)
+            ::close(fd);
 }
 
 Status
@@ -110,6 +122,10 @@ Daemon::start()
                       &len) != 0)
         return fail("getsockname()");
     port_ = ntohs(addr.sin_port);
+    // The drain wake-up: requestDrain() writes a byte here, so the
+    // accept thread sleeps in poll() with no timeout.
+    if (::pipe2(wakeFds_, O_CLOEXEC | O_NONBLOCK) != 0)
+        return fail("pipe2()");
 
     acceptThread_ = std::thread([this] { acceptLoop(); });
     executors_.reserve(static_cast<size_t>(opts_.executors));
@@ -123,6 +139,11 @@ Daemon::requestDrain()
 {
     draining_.store(true);
     queue_.drain();
+    if (wakeFds_[1] >= 0) {
+        const char byte = 0;
+        // A full pipe already holds a wake-up; nothing else can fail.
+        (void)!::write(wakeFds_[1], &byte, 1);
+    }
 }
 
 void
@@ -165,14 +186,17 @@ void
 Daemon::acceptLoop()
 {
     while (!draining_.load()) {
-        pollfd pfd{listenFd_, POLLIN, 0};
-        int rc = ::poll(&pfd, 1, 100); // tick so drain is noticed
+        pollfd pfds[2] = {{listenFd_, POLLIN, 0},
+                          {wakeFds_[0], POLLIN, 0}};
+        int rc = ::poll(pfds, 2, -1);
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
             break;
         }
-        if (rc == 0 || (pfd.revents & POLLIN) == 0)
+        if (pfds[1].revents != 0)
+            break; // requestDrain() woke us
+        if ((pfds[0].revents & POLLIN) == 0)
             continue;
         int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
@@ -300,26 +324,35 @@ Daemon::handleLine(const std::shared_ptr<Connection>& conn,
     Job job;
     job.cancel = std::make_shared<std::atomic<bool>>(false);
     job.send = [conn](const std::string& l) { conn->sendLine(l); };
+    bool duplicate = false;
     {
         std::lock_guard<std::mutex> lock(activeMu_);
-        if (active_.count(req.id) != 0) {
-            conn->sendLine(errorLine(
-                req.id,
-                Error::invalidArgument("request id '" + req.id +
-                                       "' is already active")));
-            return;
-        }
-        active_.emplace(req.id, job.cancel);
+        duplicate = !active_.emplace(req.id, job.cancel).second;
+    }
+    if (duplicate) {
+        conn->sendLine(errorLine(
+            req.id, Error::invalidArgument("request id '" + req.id +
+                                           "' is already active")));
+        return;
     }
     job.req = std::move(req);
     const std::string id = job.req.id;
-    if (Status st = queue_.push(std::move(job)); !st) {
+    // The push happens under the connection's write lock and the reply
+    // goes out before the lock is released: an executor that pops the
+    // job at once blocks in its first send until `accepted` is on the
+    // wire, so no line for this request can precede it. An overloaded
+    // push answers with the `error` line alone.
+    Status pushed = common::okStatus();
+    {
+        std::lock_guard<std::mutex> lock(conn->writeMu);
+        pushed = queue_.push(std::move(job));
+        conn->sendLocked(pushed ? acceptedLine(id, queue_.depth())
+                                : errorLine(id, pushed.error()));
+    }
+    if (!pushed) {
         finishJob(id);
         rejected_.fetch_add(1);
-        conn->sendLine(errorLine(id, st.error()));
-        return;
     }
-    conn->sendLine(acceptedLine(id, queue_.depth()));
 }
 
 void

@@ -6,8 +6,9 @@
  * one `api::Service` entry path.
  *
  * Architecture:
- *  - one accept thread polls the listen socket (100 ms tick so drain
- *    is noticed promptly) and spawns a reader thread per connection;
+ *  - one accept thread polls the listen socket and a wake-up pipe
+ *    (requestDrain() writes to it, so drain is noticed at once) and
+ *    spawns a reader thread per connection;
  *  - reader threads parse request lines (hostile-input safe — any
  *    parse failure becomes an `error` event, never an abort), answer
  *    `stats`/`cancel`/`shutdown` inline, and enqueue `run`/`sweep`
@@ -85,8 +86,8 @@ class Daemon
      * Begin a graceful drain: stop accepting connections and new
      * requests, let queued and in-flight jobs finish. Idempotent and
      * safe to call from any thread, including a reader thread handling
-     * a `shutdown` request (it only flips flags — joining happens in
-     * waitUntilStopped()).
+     * a `shutdown` request (it only flips flags and wakes the accept
+     * thread — joining happens in waitUntilStopped()).
      */
     void requestDrain();
 
@@ -109,6 +110,9 @@ class Daemon
         /** Write @p line + '\n' atomically w.r.t. other senders.
             A dead peer marks the connection instead of raising. */
         void sendLine(const std::string& line);
+
+        /** sendLine() for a caller that already holds writeMu. */
+        void sendLocked(const std::string& line);
 
         const int fd;
         std::mutex writeMu;
@@ -149,6 +153,7 @@ class Daemon
     JobQueue queue_;
 
     int listenFd_ = -1;
+    int wakeFds_[2] = {-1, -1}; ///< drain wake-up pipe (read, write)
     uint16_t port_ = 0;
     std::atomic<bool> draining_{false};
     bool stopped_ = false;

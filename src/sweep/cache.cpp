@@ -7,6 +7,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "common/assert.h"
+#include "common/file.h"
 #include "common/hash.h"
 #include "common/serialize.h"
 #include "obs/json.h"
@@ -157,6 +158,29 @@ validateContainer(const std::vector<uint8_t>& bytes, uint64_t key)
     return std::make_pair(r.position(), bytes.size() - r.position() - 8);
 }
 
+/**
+ * Validate and decode one entry against an already computed @p key:
+ * container, body, then shard identity. The one decode path behind
+ * lookup() and decodeEntry().
+ */
+std::optional<ShardResult>
+decodeKeyed(const std::vector<uint8_t>& bytes, uint64_t key,
+            const ShardSpec& shard)
+{
+    auto span = validateContainer(bytes, key);
+    if (!span)
+        return std::nullopt;
+    BinReader body(bytes.data() + span->first, span->second);
+    auto res = deserializeResult(body);
+    if (!res || body.remaining() != 0)
+        return std::nullopt;
+    // Identity paranoia: a 64-bit key collision must not substitute one
+    // shard's result for another's.
+    if (res->index != shard.index || res->key != shard.key())
+        return std::nullopt;
+    return res;
+}
+
 } // namespace
 
 ShardCache::ShardCache(std::string dir) : dir_(std::move(dir))
@@ -245,32 +269,17 @@ std::optional<ShardResult>
 ShardCache::decodeEntry(const std::vector<uint8_t>& bytes,
                         const SweepSpec& spec, const ShardSpec& shard)
 {
-    uint64_t key = shardKey(spec, shard);
-    auto span = validateContainer(bytes, key);
-    if (!span)
-        return std::nullopt;
-    BinReader body(bytes.data() + span->first, span->second);
-    auto res = deserializeResult(body);
-    if (!res || body.remaining() != 0)
-        return std::nullopt;
-    // Identity paranoia: a 64-bit key collision must not substitute one
-    // shard's result for another's.
-    if (res->index != shard.index || res->key != shard.key())
-        return std::nullopt;
-    return res;
+    return decodeKeyed(bytes, shardKey(spec, shard), shard);
 }
 
 std::optional<std::vector<uint8_t>>
 ShardCache::readBytes(uint64_t key) const
 {
-    std::ifstream f(entryPath(key), std::ios::binary);
-    if (!f)
+    common::Expected<std::vector<uint8_t>> bytes =
+        common::readFile(entryPath(key));
+    if (!bytes || !validateContainer(bytes.value(), key))
         return std::nullopt;
-    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                               std::istreambuf_iterator<char>());
-    if (!validateContainer(bytes, key))
-        return std::nullopt;
-    return bytes;
+    return std::move(bytes.value());
 }
 
 Status
@@ -319,15 +328,18 @@ ShardCache::lookup(const SweepSpec& spec, const ShardSpec& shard) const
     static const obs::MetricId corruptMisses =
         obs::metrics().counter("cache.corrupt_misses");
 
+    // One key, one read, one validation: the open's ENOENT classifies
+    // a clean miss; anything else that fails to decode is corrupt.
     const uint64_t key = shardKey(spec, shard);
-    std::error_code ec;
-    const bool present = std::filesystem::exists(entryPath(key), ec);
-    auto bytes = readBytes(key);
+    common::Expected<std::vector<uint8_t>> bytes =
+        common::readFile(entryPath(key));
     if (!bytes) {
-        obs::metrics().add(present ? corruptMisses : misses);
+        obs::metrics().add(
+            bytes.error().code == ErrorCode::NotFound ? misses
+                                                      : corruptMisses);
         return std::nullopt;
     }
-    auto result = decodeEntry(*bytes, spec, shard);
+    auto result = decodeKeyed(bytes.value(), key, shard);
     if (!result) {
         obs::metrics().add(corruptMisses);
         return std::nullopt;

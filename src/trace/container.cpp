@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "common/assert.h"
+#include "common/file.h"
 
 namespace p10ee::trace {
 
@@ -232,6 +233,35 @@ decodeDelta(BinReader& r, isa::TraceInstr* out, uint64_t& prevPc,
     return true;
 }
 
+/**
+ * The canonical record layout, little-endian: op u8 | src u16 x3 |
+ * dest u16 | pc u64 | addr u64 | size u16 | memTier u8 | taken u8 |
+ * target u64 | prefixed u8 | gemm u8 | toggle f32 bits. The content
+ * hash is defined over exactly these bytes.
+ */
+void
+encodeCanonical(const isa::TraceInstr& in, uint8_t (&out)[kCanonicalBytes])
+{
+    size_t at = 0;
+    auto put = [&out, &at](uint64_t v, int n) {
+        for (int i = 0; i < n; ++i)
+            out[at++] = static_cast<uint8_t>(v >> (8 * i));
+    };
+    put(static_cast<uint8_t>(in.op), 1);
+    for (uint16_t s : in.src)
+        put(s, 2);
+    put(in.dest, 2);
+    put(in.pc, 8);
+    put(in.addr, 8);
+    put(in.size, 2);
+    put(in.memTier, 1);
+    put(in.taken ? 1 : 0, 1);
+    put(in.target, 8);
+    put(in.prefixed ? 1 : 0, 1);
+    put(in.gemm ? 1 : 0, 1);
+    put(toggleBits(in.toggle), 4);
+}
+
 bool
 decodeCanonical(BinReader& r, isa::TraceInstr* out)
 {
@@ -290,19 +320,18 @@ validateMeta(const TraceMeta& meta)
 void
 writeCanonicalInstr(BinWriter& w, const isa::TraceInstr& in)
 {
-    w.u8(static_cast<uint8_t>(in.op));
-    for (uint16_t s : in.src)
-        w.u16(s);
-    w.u16(in.dest);
-    w.u64(in.pc);
-    w.u64(in.addr);
-    w.u16(in.size);
-    w.u8(in.memTier);
-    w.b(in.taken);
-    w.u64(in.target);
-    w.b(in.prefixed);
-    w.b(in.gemm);
-    w.f32(in.toggle);
+    uint8_t rec[kCanonicalBytes];
+    encodeCanonical(in, rec);
+    for (uint8_t b : rec)
+        w.u8(b);
+}
+
+void
+hashCanonicalInstr(Fnv1a& h, const isa::TraceInstr& in)
+{
+    uint8_t rec[kCanonicalBytes];
+    encodeCanonical(in, rec);
+    h.bytes(rec, sizeof(rec));
 }
 
 uint64_t
@@ -328,12 +357,12 @@ TraceData::payloadBytes() const
     return n;
 }
 
-Expected<std::vector<isa::TraceInstr>>
-TraceData::decodeChunk(size_t i) const
+Status
+TraceData::decodeChunk(size_t i, std::vector<isa::TraceInstr>& out) const
 {
     P10_ASSERT(i < chunks_.size(), "chunk index out of range");
     const Chunk& c = chunks_[i];
-    std::vector<isa::TraceInstr> out;
+    out.clear();
     out.reserve(c.count);
     BinReader r(c.bytes);
     if (encoding_ == kEncodingRaw) {
@@ -367,7 +396,7 @@ TraceData::decodeChunk(size_t i) const
         return Error::invalidArgument(
             "trace chunk " + std::to_string(i) +
             ": trailing bytes after the last record");
-    return out;
+    return common::okStatus();
 }
 
 Expected<std::vector<isa::TraceInstr>>
@@ -375,12 +404,11 @@ TraceData::decodeAll() const
 {
     std::vector<isa::TraceInstr> out;
     out.reserve(static_cast<size_t>(instrCount_));
+    std::vector<isa::TraceInstr> window;
     for (size_t i = 0; i < chunks_.size(); ++i) {
-        Expected<std::vector<isa::TraceInstr>> chunk = decodeChunk(i);
-        if (!chunk)
-            return chunk.error();
-        out.insert(out.end(), chunk.value().begin(),
-                   chunk.value().end());
+        if (Status st = decodeChunk(i, window); !st)
+            return st.error();
+        out.insert(out.end(), window.begin(), window.end());
     }
     return out;
 }
@@ -388,14 +416,13 @@ TraceData::decodeAll() const
 Status
 TraceData::verifyContent() const
 {
-    Expected<std::vector<isa::TraceInstr>> all = decodeAll();
-    if (!all)
-        return all.error();
+    std::vector<isa::TraceInstr> window;
     Fnv1a h;
-    for (const isa::TraceInstr& in : all.value()) {
-        BinWriter w;
-        writeCanonicalInstr(w, in);
-        h.bytes(w.bytes().data(), w.size());
+    for (size_t i = 0; i < chunks_.size(); ++i) {
+        if (Status st = decodeChunk(i, window); !st)
+            return st;
+        for (const isa::TraceInstr& in : window)
+            hashCanonicalInstr(h, in);
     }
     if (h.digest() != contentHash_)
         return Error::invalidArgument(
@@ -555,14 +582,12 @@ TraceData::save(const std::string& path) const
 }
 
 Expected<TraceData>
-TraceData::load(const std::string& path)
+TraceData::load(const std::string& path, common::FileStamp* stamp)
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
+    Expected<std::vector<uint8_t>> bytes = common::readFile(path, stamp);
+    if (!bytes)
         return Error::notFound("cannot open trace: " + path);
-    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                               std::istreambuf_iterator<char>());
-    Expected<TraceData> t = fromBytes(bytes.data(), bytes.size());
+    Expected<TraceData> t = fromBytes(bytes.value());
     if (!t)
         return Error(t.error().code, path + ": " + t.error().message);
     return t;
@@ -588,9 +613,7 @@ TraceWriter::add(const isa::TraceInstr& in)
     P10_ASSERT(!finished_, "TraceWriter::add after finish()");
     P10_ASSERT(validInstr(in),
                "instruction fails trace range validation");
-    BinWriter w;
-    writeCanonicalInstr(w, in);
-    hash_.bytes(w.bytes().data(), w.size());
+    hashCanonicalInstr(hash_, in);
     pending_.push_back(in);
     ++data_.instrCount_;
     if (pending_.size() >= chunkCapacity_)

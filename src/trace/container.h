@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/file.h"
 #include "common/hash.h"
 #include "common/serialize.h"
 #include "isa/instr.h"
@@ -92,6 +93,13 @@ common::Status validateMeta(const TraceMeta& meta);
 void writeCanonicalInstr(common::BinWriter& w, const isa::TraceInstr& in);
 
 /**
+ * Absorb @p in's canonical record into @p h — the one content-hash step
+ * the writer and verifyContent() share. Encodes into a fixed stack
+ * buffer, so hashing a stream allocates nothing.
+ */
+void hashCanonicalInstr(common::Fnv1a& h, const isa::TraceInstr& in);
+
+/**
  * One loaded (or just-written) trace: metadata plus encoded chunks,
  * decoded on demand. This is the reader side of the container — it
  * validates the envelope on load and every semantic field on decode.
@@ -115,19 +123,21 @@ class TraceData
     size_t payloadBytes() const;
 
     /**
-     * Decode chunk @p i. Semantically invalid records (op class or
+     * Decode chunk @p i into @p out, replacing its contents and
+     * reusing its capacity. Semantically invalid records (op class or
      * register out of range, bad memory tier, non-finite toggle) are
      * structured errors — a checksum-valid file can still be hostile.
      */
-    common::Expected<std::vector<isa::TraceInstr>>
-    decodeChunk(size_t i) const;
+    common::Status decodeChunk(size_t i,
+                               std::vector<isa::TraceInstr>& out) const;
 
     /** Decode every chunk in order. */
     common::Expected<std::vector<isa::TraceInstr>> decodeAll() const;
 
     /**
-     * Full content verification: decode everything and recompute the
-     * content hash; a mismatch against the stored hash is an error.
+     * Full content verification: decode chunk by chunk and recompute
+     * the content hash; a mismatch against the stored hash is an error.
+     * Peak extra memory is one chunk's decoded window.
      */
     common::Status verifyContent() const;
 
@@ -147,8 +157,13 @@ class TraceData
     /** toBytes() to a file, written atomically (temp + rename). */
     common::Status save(const std::string& path) const;
 
-    /** fromBytes() over the contents of @p path. */
-    static common::Expected<TraceData> load(const std::string& path);
+    /**
+     * fromBytes() over the contents of @p path. When @p stamp is given
+     * it receives the identity of the file that was read (see
+     * common::readFile()).
+     */
+    static common::Expected<TraceData> load(
+        const std::string& path, common::FileStamp* stamp = nullptr);
 
   private:
     friend class TraceWriter;

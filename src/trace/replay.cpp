@@ -4,7 +4,9 @@
 #include <mutex>
 
 #include "common/assert.h"
+#include "common/file.h"
 #include "isa/op.h"
+#include "obs/metrics.h"
 
 namespace p10ee::trace {
 
@@ -24,14 +26,12 @@ TraceReplaySource::TraceReplaySource(
 void
 TraceReplaySource::decodeWindow(size_t chunk)
 {
-    Expected<std::vector<isa::TraceInstr>> decoded =
-        data_->decodeChunk(chunk);
+    const Status decoded = data_->decodeChunk(chunk, window_);
     // The shared loader content-verified the container (every chunk
     // decoded once); a failure here means the caller skipped that
     // contract, which is a programming error, not hostile input.
     P10_ASSERT(decoded.ok(),
                "replay over an unverified trace container");
-    window_ = std::move(decoded.value());
     chunk_ = chunk;
     posInWindow_ = 0;
 }
@@ -123,24 +123,47 @@ recordTrace(workloads::InstrSource& source, uint64_t n, TraceMeta meta,
 Expected<std::shared_ptr<const TraceData>>
 loadShared(const std::string& path)
 {
-    // Process-wide container cache: a sweep replays one trace across
-    // many shards x SMT threads; each should share one loaded,
-    // verified container instead of re-reading and re-verifying the
-    // file. Entries are weak so an idle daemon does not pin every
-    // trace it ever served.
+    // Process-wide resident container cache: a sweep replays one trace
+    // across many shards x SMT threads, and every one of them shares
+    // one loaded, verified container. An entry is keyed by path and
+    // stamped with the identity of the file it was read from; every
+    // lookup re-stats the path, so a renamed-over, rewritten or deleted
+    // file is reloaded (or reported missing), never replayed stale.
+    // Each path has its own lock, so concurrent first lookups load the
+    // file once while other paths proceed.
+    struct Entry
+    {
+        std::mutex mu;
+        common::FileStamp stamp;
+        std::shared_ptr<const TraceData> data;
+    };
     static std::mutex mu;
-    static std::map<std::string, std::weak_ptr<const TraceData>> cache;
+    static std::map<std::string, std::shared_ptr<Entry>> cache;
+    static const obs::MetricId loads =
+        obs::metrics().counter("trace.container_loads");
 
+    Expected<common::FileStamp> now = common::statFile(path);
+    if (!now) {
+        std::lock_guard<std::mutex> lk(mu);
+        cache.erase(path); // a deleted trace pins no memory
+        return Error::notFound("cannot open trace: " + path);
+    }
+    std::shared_ptr<Entry> entry;
     {
         std::lock_guard<std::mutex> lk(mu);
-        auto it = cache.find(path);
-        if (it != cache.end())
-            if (std::shared_ptr<const TraceData> hit =
-                    it->second.lock())
-                return hit;
+        std::shared_ptr<Entry>& slot = cache[path];
+        if (!slot)
+            slot = std::make_shared<Entry>();
+        entry = slot;
     }
+    std::lock_guard<std::mutex> lk(entry->mu);
+    if (entry->data && entry->stamp == now.value())
+        return entry->data;
 
-    Expected<TraceData> loaded = TraceData::load(path);
+    entry->data.reset(); // a failed reload must not pin the old file
+    obs::metrics().add(loads);
+    common::FileStamp stamp;
+    Expected<TraceData> loaded = TraceData::load(path, &stamp);
     if (!loaded)
         return loaded.error();
     // Content verification up front: replay decodes chunks on a path
@@ -150,12 +173,10 @@ loadShared(const std::string& path)
     if (Status st = loaded.value().verifyContent(); !st)
         return Error(st.error().code,
                      path + ": " + st.error().message);
-    auto shared = std::make_shared<const TraceData>(
-        std::move(loaded.value()));
-
-    std::lock_guard<std::mutex> lk(mu);
-    cache[path] = shared;
-    return std::shared_ptr<const TraceData>(shared);
+    entry->stamp = stamp;
+    entry->data =
+        std::make_shared<const TraceData>(std::move(loaded.value()));
+    return entry->data;
 }
 
 Expected<workloads::WorkloadProfile>

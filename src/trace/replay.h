@@ -20,11 +20,13 @@
  * `registerTraceFrontend()` plugs the "trace" scheme into the
  * workload registry (workloads/registry.h), which is what lets
  * SweepSpec JSON, p10sim_cli, p10sweep_cli, p10d and p10fleet all
- * name `trace:<path>` workloads. Containers are loaded once per
- * process (shared, content-verified) and re-validated against the
- * resolving profile's content hash at source construction, so a file
- * swapped between spec expansion and shard execution is a structured
- * error, never a silently wrong simulation.
+ * name `trace:<path>` workloads. Containers are loaded and
+ * content-verified once per version of the file and stay resident
+ * (shared by every source over them); each lookup re-stats the file,
+ * and every source is re-validated against the resolving profile's
+ * content hash at construction, so a file swapped between spec
+ * expansion and shard execution is a structured error, never a
+ * silently wrong simulation.
  */
 
 #ifndef P10EE_TRACE_REPLAY_H
@@ -127,10 +129,15 @@ TraceData recordTrace(workloads::InstrSource& source, uint64_t n,
                       uint8_t encoding = kEncodingDelta);
 
 /**
- * Load the container at @p path through the process-wide shared
- * cache: the file is read, envelope-validated and content-verified
- * once, then shared by every replay source over it (a sweep runs one
- * trace in many shards x SMT threads).
+ * Load the container at @p path through the process-wide resident
+ * cache: each version of the file is read, envelope-validated and
+ * content-verified once, then shared by every replay source over it (a
+ * sweep runs one trace in many shards x SMT threads). Every call
+ * re-stats @p path and compares its identity (device, inode, size,
+ * mtime, ctime) with the loaded version's: a match is a hit, a
+ * different identity reloads and re-verifies, a missing file is
+ * NotFound. Each load adds one to the `trace.container_loads` metric.
+ * The cache pins one encoded container per distinct path served.
  */
 common::Expected<std::shared_ptr<const TraceData>>
 loadShared(const std::string& path);

@@ -13,10 +13,12 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -996,6 +998,95 @@ TEST(Daemon, ShutdownRequestDrainsInFlightWork)
 
     EXPECT_TRUE(daemon.draining());
     daemon.waitUntilStopped(); // must terminate, not hang
+}
+
+TEST(Daemon, IdleDrainDoesNotWaitForAPollTick)
+{
+    // The accept thread sleeps in poll() with no timeout and drain
+    // wakes it, so stopping an idle daemon costs thread joins, not the
+    // 100 ms poll tick the loop once needed to notice a drain.
+    service::Daemon daemon(service::DaemonOptions{});
+    ASSERT_TRUE(daemon.start().ok());
+    {
+        // A round trip proves the accept loop is already parked in
+        // poll() when the drain begins.
+        Client client(daemon.port());
+        client.sendLine("{\"type\":\"stats\",\"id\":\"st\"}");
+        EXPECT_EQ(field(client.readLine(), "event"), "stats");
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    daemon.waitUntilStopped();
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    EXPECT_LT(ms, 50);
+}
+
+TEST(Daemon, AcceptedPrecedesEveryLineOfItsRequest)
+{
+    // Many pipelined requests on one connection, each fast to execute:
+    // warm sweeps (every shard a cache hit) interleaved with sweeps
+    // that fail at expansion. Every `accepted` must arrive in
+    // submission order with its own id, before any other line for that
+    // request. Before the push moved under the connection's write lock
+    // an executor could answer first; that race is rare, so this test
+    // cannot catch its return deterministically — it runs under TSan
+    // in CI as a stress check.
+    const std::string dir = freshDir("p10ee_daemon_order_test");
+    service::DaemonOptions opts;
+    opts.cacheDir = dir;
+    opts.executors = 4;
+    opts.queueCapacity = 512;
+    service::Daemon daemon(opts);
+    ASSERT_TRUE(daemon.start().ok());
+    Client client(daemon.port());
+    client.sendLine(sweepRequest("warmup"));
+    ASSERT_EQ(field(client.readFinal("warmup"), "event"), "done");
+
+    constexpr int kRequests = 300;
+    auto idOf = [](int i) { return "r" + std::to_string(i); };
+    std::thread sender([&] {
+        for (int i = 0; i < kRequests; ++i)
+            client.sendLine(
+                i % 2 == 0
+                    ? sweepRequest(idOf(i))
+                    : "{\"type\":\"sweep\",\"id\":\"" + idOf(i) +
+                          "\",\"spec\":{\"configs\":[\"power10\"],"
+                          "\"workloads\":[\"no_such_profile\"],"
+                          "\"smt\":[1]}}");
+    });
+    // The first violation ends the read loop; the sender is joined
+    // before anything is asserted.
+    std::set<std::string> accepted;
+    int nextAccepted = 0;
+    int finished = 0;
+    std::string violation;
+    while (finished < kRequests && violation.empty()) {
+        const std::string line = client.readLine();
+        if (line.empty()) {
+            violation = "daemon went silent";
+            break;
+        }
+        const std::string id = field(line, "id");
+        const std::string ev = field(line, "event");
+        if (ev == "accepted") {
+            if (id != idOf(nextAccepted))
+                violation = "accepted out of order: " + line;
+            ++nextAccepted;
+            accepted.insert(id);
+        } else if (accepted.count(id) == 0) {
+            violation = ev + " for " + id + " arrived before its accepted";
+        } else if (ev == "done" || ev == "error") {
+            ++finished;
+        } else if (ev != "progress") {
+            violation = "unexpected line: " + line;
+        }
+    }
+    sender.join();
+    EXPECT_EQ(violation, "");
+    EXPECT_EQ(nextAccepted, kRequests);
+    daemon.waitUntilStopped();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Daemon, StatsReportLiveMetrics)

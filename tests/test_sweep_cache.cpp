@@ -24,6 +24,7 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "sweep/cache.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
@@ -428,6 +429,94 @@ TEST(CacheHostile, CollidingEntryIdentityIsMiss)
     writeEntry(cache.entryPath(ShardCache::shardKey(spec, shards[1])),
                bytes);
     EXPECT_FALSE(cache.lookup(spec, shards[1]).has_value());
+}
+
+// ---- Lookup classification (cache.hits / misses / corrupt_misses) ----
+
+namespace {
+
+/** The three lookup counters, read from the process-wide registry. */
+struct LookupCounts
+{
+    double hits = 0;
+    double misses = 0;
+    double corrupt = 0;
+
+    static LookupCounts
+    now()
+    {
+        LookupCounts c;
+        for (const auto& [key, value] : obs::metrics().snapshot()) {
+            if (key == "cache.hits")
+                c.hits = value;
+            else if (key == "cache.misses")
+                c.misses = value;
+            else if (key == "cache.corrupt_misses")
+                c.corrupt = value;
+        }
+        return c;
+    }
+
+    LookupCounts
+    since(const LookupCounts& before) const
+    {
+        return {hits - before.hits, misses - before.misses,
+                corrupt - before.corrupt};
+    }
+};
+
+} // namespace
+
+TEST(CacheLookup, AbsentEntryCountsAsMiss)
+{
+    TempCacheDir dir("cache_lookup_absent");
+    ShardCache cache(dir.path);
+    ASSERT_TRUE(cache.prepare().ok());
+    auto spec = tinySpec();
+    auto shard = expandOrDie(spec)[0];
+    const LookupCounts before = LookupCounts::now();
+    EXPECT_FALSE(cache.lookup(spec, shard).has_value());
+    const LookupCounts d = LookupCounts::now().since(before);
+    EXPECT_EQ(d.misses, 1.0);
+    EXPECT_EQ(d.corrupt, 0.0);
+    EXPECT_EQ(d.hits, 0.0);
+}
+
+TEST(CacheLookup, TruncatedOrFlippedEntryCountsAsCorruptMiss)
+{
+    SeededCache s("lookup_corrupt");
+    auto flipped = s.bytes;
+    flipped[flipped.size() / 2] ^= 0x01;
+    const std::vector<std::vector<uint8_t>> bad = {
+        std::vector<uint8_t>(s.bytes.begin(),
+                             s.bytes.begin() +
+                                 static_cast<ptrdiff_t>(
+                                     s.bytes.size() / 2)),
+        std::vector<uint8_t>{},
+        flipped,
+    };
+    for (const std::vector<uint8_t>& bytes : bad) {
+        writeEntry(s.path, bytes);
+        const LookupCounts before = LookupCounts::now();
+        EXPECT_FALSE(s.cache.lookup(s.spec, s.shard).has_value());
+        const LookupCounts d = LookupCounts::now().since(before);
+        EXPECT_EQ(d.corrupt, 1.0) << bytes.size() << " bytes";
+        EXPECT_EQ(d.misses, 0.0);
+        EXPECT_EQ(d.hits, 0.0);
+    }
+}
+
+TEST(CacheLookup, HitDecodesLikeDecodeEntry)
+{
+    SeededCache s("lookup_hit");
+    const LookupCounts before = LookupCounts::now();
+    auto hit = s.cache.lookup(s.spec, s.shard);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(LookupCounts::now().since(before).hits, 1.0);
+    auto decoded = ShardCache::decodeEntry(s.bytes, s.spec, s.shard);
+    ASSERT_TRUE(decoded.has_value());
+    expectSameResult(*hit, *decoded);
+    expectSameResult(*hit, okResult(s.shard));
 }
 
 TEST(CacheHostile, RandomGarbageFuzzNeverCrashes)

@@ -12,15 +12,18 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ckpt/checkpoint.h"
 #include "core/core.h"
+#include "obs/metrics.h"
 #include "sweep/cache.h"
 #include "sweep/spec.h"
 #include "trace/container.h"
@@ -594,6 +597,174 @@ TEST(TraceRegistry, MissingFileIsStructuredError)
         "trace:/nonexistent/definitely_missing.p10trace");
     ASSERT_FALSE(p.ok());
     EXPECT_EQ(p.error().code, common::ErrorCode::NotFound);
+}
+
+// ---- Resident container cache ----
+
+namespace {
+
+double
+metricValue(const std::string& name)
+{
+    for (const auto& [key, value] : obs::metrics().snapshot())
+        if (key == name)
+            return value;
+    return 0.0;
+}
+
+/** The container a registry-built trace source replays. */
+const trace::TraceData*
+replayed(const workloads::CheckpointableSource& src)
+{
+    const auto* replay =
+        dynamic_cast<const trace::TraceReplaySource*>(&src);
+    return replay != nullptr ? &replay->data() : nullptr;
+}
+
+void
+writeBytes(const std::string& path, const std::vector<uint8_t>& bytes)
+{
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+} // namespace
+
+TEST(TraceResident, UnchangedFileLoadsAndVerifiesOnce)
+{
+    trace::registerTraceFrontend();
+    const std::string path = tmpPath("p10ee_trace_resident.p10trace");
+    ASSERT_TRUE(build(variedStream(300), trace::kEncodingDelta, 32,
+                      "resident")
+                    .save(path)
+                    .ok());
+    const double before = metricValue("trace.container_loads");
+    auto p = workloads::resolveWorkload("trace:" + path);
+    ASSERT_TRUE(p.ok()) << p.error().message;
+    const trace::TraceData* first = nullptr;
+    for (int round = 0; round < 4; ++round)
+        for (int tid = 0; tid < 4; ++tid) {
+            // Each source dies before the next is built: the container
+            // must outlive them all.
+            auto src = workloads::makeSource(p.value(), tid);
+            ASSERT_TRUE(src.ok()) << src.error().message;
+            (void)src.value()->next();
+            if (first == nullptr)
+                first = replayed(*src.value());
+            EXPECT_EQ(replayed(*src.value()), first);
+        }
+    EXPECT_EQ(metricValue("trace.container_loads") - before, 1.0);
+    std::filesystem::remove(path);
+}
+
+TEST(TraceResident, ChangedFileAfterResolutionIsStructuredError)
+{
+    // Each mutation lands while a source still holds the resident
+    // container; the next makeSource must see the new file (or its
+    // absence) and fail, never replay the old container.
+    trace::registerTraceFrontend();
+    const trace::TraceData orig =
+        build(variedStream(200), trace::kEncodingRaw, 64, "mut");
+    const trace::TraceData other =
+        build(variedStream(120, 5), trace::kEncodingRaw, 64, "mut");
+    // Forgery: one pc byte of record 3 flipped, checksum resealed —
+    // a self-consistent envelope over a payload that no longer
+    // matches the stored content hash.
+    std::vector<uint8_t> forged = orig.toBytes();
+    forged[chunkCountOffset(orig) + 4 + 4 + 8 + 3 * 43 + 9] ^= 0x40;
+    forged = resealed(forged);
+    ASSERT_TRUE(trace::TraceData::fromBytes(forged).ok());
+
+    struct Case
+    {
+        const char* name;
+        std::function<void(const std::string&)> mutate;
+        common::ErrorCode want;
+    };
+    const std::vector<Case> cases = {
+        {"rename_swap",
+         [&](const std::string& path) {
+             ASSERT_TRUE(other.save(path).ok());
+         },
+         common::ErrorCode::InvalidConfig},
+        {"in_place_resize",
+         [&](const std::string& path) {
+             writeBytes(path, other.toBytes());
+         },
+         common::ErrorCode::InvalidConfig},
+        {"deletion",
+         [](const std::string& path) {
+             std::filesystem::remove(path);
+         },
+         common::ErrorCode::NotFound},
+        {"resealed_forgery",
+         [&](const std::string& path) {
+             writeBytes(path + ".forge", forged);
+             std::filesystem::rename(path + ".forge", path);
+         },
+         common::ErrorCode::InvalidArgument},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string path =
+            tmpPath(std::string("p10ee_trace_mut_") + c.name +
+                    ".p10trace");
+        ASSERT_TRUE(orig.save(path).ok());
+        auto p = workloads::resolveWorkload("trace:" + path);
+        ASSERT_TRUE(p.ok()) << p.error().message;
+        auto held = workloads::makeSource(p.value(), 0);
+        ASSERT_TRUE(held.ok());
+        c.mutate(path);
+        auto src = workloads::makeSource(p.value(), 1);
+        ASSERT_FALSE(src.ok());
+        EXPECT_EQ(src.error().code, c.want) << src.error().message;
+        // The source built before the mutation keeps its own copy.
+        EXPECT_EQ(replayed(*held.value())->contentHash(),
+                  orig.contentHash());
+        std::filesystem::remove(path);
+    }
+}
+
+TEST(TraceResident, ConcurrentSourcesShareOneContainer)
+{
+    // A profile naming a never-loaded file, so 8 threads race into its
+    // first load: it happens once and every source replays the same
+    // container.
+    trace::registerTraceFrontend();
+    const std::string path = tmpPath("p10ee_trace_concurrent.p10trace");
+    const trace::TraceData t =
+        build(variedStream(500), trace::kEncodingDelta, 64, "conc");
+    ASSERT_TRUE(t.save(path).ok());
+    workloads::WorkloadProfile profile;
+    profile.name = "trace:conc";
+    profile.frontend = trace::kScheme;
+    profile.sourcePath = path;
+    profile.contentHash = t.contentHash();
+    const double before = metricValue("trace.container_loads");
+
+    constexpr int kThreads = 8;
+    std::vector<const trace::TraceData*> seen(kThreads, nullptr);
+    std::vector<std::unique_ptr<workloads::CheckpointableSource>> srcs(
+        kThreads);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i)
+        threads.emplace_back([&, i] {
+            auto src = workloads::makeSource(profile, i % 4);
+            if (!src.ok())
+                return;
+            for (int k = 0; k < 1000; ++k)
+                (void)src.value()->next();
+            seen[static_cast<size_t>(i)] = replayed(*src.value());
+            srcs[static_cast<size_t>(i)] = std::move(src.value());
+        });
+    for (std::thread& th : threads)
+        th.join();
+    EXPECT_EQ(metricValue("trace.container_loads") - before, 1.0);
+    ASSERT_NE(seen[0], nullptr);
+    for (const trace::TraceData* d : seen)
+        EXPECT_EQ(d, seen[0]);
+    std::filesystem::remove(path);
 }
 
 // ---- Cache-key stability ----
